@@ -4,9 +4,8 @@ The authoritative perf record is ``repro bench`` (see docs/performance.md
 and the committed ``BENCH_engine.json``); this module exposes the same
 workloads — built by :mod:`repro.bench.suites` so the two harnesses can
 never drift apart — to ``pytest benchmarks/ --benchmark-only`` runs, and
-asserts the structural facts the optimizations rely on: the shape memo
-actually hits, and the fast loop is engaged when no observers are
-attached.
+asserts the structural fact the CONGEST optimization relies on: the
+shape memo actually hits.
 """
 
 from __future__ import annotations
@@ -48,15 +47,12 @@ def test_mst_end_to_end(benchmark, report):
     spec = get_benchmark("mst_randomized_e2e_n64")
     benchmark(spec.make())
 
-    # The observer-free run must be indistinguishable from an observed one
-    # (the fast/general loop split is a pure optimization).
-    graph = random_connected_graph(48, seed=11)
-    fast = run_randomized_mst(graph, seed=3)
-    general = run_randomized_mst(graph, seed=3, trace=True, observe=True)
-    assert fast.mst_weights == general.mst_weights
-    assert fast.metrics.summary() == general.metrics.summary()
+    # That observers never change a run's outcome is asserted in tier-1
+    # (tests/sim/test_engine_fastpath.py); this row only reports the run.
+    result = run_randomized_mst(random_connected_graph(48, seed=11), seed=3)
+    metrics = result.metrics
     report.record(
-        "Engine hot path / fast-vs-general loop",
-        f"n=48 randomized MST: weight sum {sum(fast.mst_weights)}, "
-        f"metrics identical across specialized loops",
+        "Engine hot path / randomized MST end to end",
+        f"n=48 randomized MST: weight sum {sum(result.mst_weights)}, "
+        f"rounds={metrics.rounds}, max awake={metrics.max_awake}",
     )

@@ -17,13 +17,13 @@ Tiers
     that actually bounds how large an ``n`` the experiment sweeps reach.
 ``fault``
     Runs under a fault-injecting channel model (:mod:`repro.sim.transport`):
-    the general loop with channel dispatch and the delayed-message heap.
+    the round loop with channel dispatch and the delayed-message heap.
     Guards the robustness workload the same way ``micro``/``e2e`` guard
     the default path.
 ``monitors``
     Full MST runs with every invariant monitor attached
     (:mod:`repro.invariants`): probe buffering, group checking, and span
-    forwarding on top of the general loop.  Compared against the ``e2e``
+    forwarding on top of the round loop.  Compared against the ``e2e``
     twins, the ratio *is* the monitoring overhead.
 ``mis``
     Full ``Sleeping-MIS`` runs (the second problem bundle,
@@ -166,7 +166,7 @@ def _make_engine_loop(n: int = 128) -> Callable[[], Any]:
 
 
 # ----------------------------------------------------------------------
-# Fault tier: the general loop under channel models
+# Fault tier: the round loop under channel models
 # ----------------------------------------------------------------------
 
 def _make_engine_fault_drop(n: int = 128, p: float = 0.05) -> Callable[[], Any]:
@@ -174,7 +174,7 @@ def _make_engine_fault_drop(n: int = 128, p: float = 0.05) -> Callable[[], Any]:
     from repro.sim import DropChannel, simulate
 
     # Heartbeats never read their inbox, so they tolerate any loss rate:
-    # this times the general loop + channel dispatch, not protocol recovery.
+    # this times the round loop + channel dispatch, not protocol recovery.
     graph = ring_graph(n, seed=1)
     channel = DropChannel(p)
 

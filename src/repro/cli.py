@@ -164,7 +164,7 @@ def _monitors_sim_kwargs(args: argparse.Namespace, sim_kwargs: dict):
     """Resolve ``--monitors`` into sim kwargs; returns the MonitorSet.
 
     Raises ``ValueError`` on unknown monitor names.  ``None`` / ``off``
-    leaves ``sim_kwargs`` untouched (the engine fast path stays usable).
+    leaves ``sim_kwargs`` untouched (no monitor feeds run).
     """
     spec = getattr(args, "monitors", None)
     if spec is None:

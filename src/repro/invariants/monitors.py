@@ -18,7 +18,7 @@ executes*:
 
 Monitors are observers in the strict sense: they never touch protocol
 randomness, messages, or schedules, and a detached run
-(``monitors=None``, the default) takes the engine fast path untouched —
+(``monitors=None``, the default) skips every monitor feed —
 byte-identical output, pinned by the golden transport tests.
 """
 

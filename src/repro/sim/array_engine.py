@@ -20,7 +20,8 @@ accountant block by block; this module knows about blocks, rounds, bits,
 and budgets, but not about MSTs.
 
 The backend is deliberately *narrow*: it supports exactly the
-perfect-channel, observer-free configuration (the engine fast path) and
+perfect-channel, observer-free configuration (no trace, knowledge,
+observability or monitors) and
 raises :class:`~repro.sim.errors.UnsupportedFeatureError` for anything
 else — see :func:`validate_array_sim_kwargs`.  Within that matrix it is
 held **byte-identical** to the coroutine engine: same per-node
@@ -83,8 +84,9 @@ def require_numpy() -> Any:
 
 #: ``SleepingSimulator`` keyword arguments the array engine rejects, with
 #: the human-readable feature name used in the error message.  Everything
-#: here routes the coroutine engine off its fast path, which is exactly
-#: the configuration class the array engine does not reproduce.
+#: here attaches an observer or a fault channel to the coroutine engine,
+#: which is exactly the configuration class the array engine does not
+#: reproduce.
 _UNSUPPORTED_KWARGS = {
     "trace": "event tracing",
     "max_trace_events": "event tracing",

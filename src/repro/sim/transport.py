@@ -106,12 +106,12 @@ class ChannelModel:
 
     Subclasses override :meth:`deliver` (and optionally
     :meth:`crash_round`).  ``is_perfect`` is a class-level flag: when true
-    *and* no observers are attached, the engine keeps its inlined
-    fast-path round loop, so the default configuration pays nothing for
-    this layer's existence.
+    the engine applies the sleeping rule inline instead of calling
+    :meth:`deliver` per message, so the default configuration pays
+    nothing for this layer's existence.
     """
 
-    #: True only for :class:`PerfectChannel`: enables the engine fast path.
+    #: True only for :class:`PerfectChannel`: the engine inlines its rule.
     is_perfect = False
 
     def reset(self, node_ids: Sequence[int], rng: Random) -> None:

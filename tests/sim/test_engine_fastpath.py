@@ -1,13 +1,11 @@
-"""Regression tests for the specialized engine loops.
-
-Covers the hot-path PR's invariants:
+"""Regression tests for the engine round loop's bookkeeping.
 
 * ``metrics.rounds`` is assigned once, from the final populated round, and
   equals the last node's termination round on staggered wake-up schedules;
 * the engine maintains ``Metrics.max_awake_running`` incrementally and it
   always equals the O(n) recomputation;
-* the observer-free fast path and the general (trace/knowledge/observe)
-  path produce byte-identical results and metrics.
+* attaching observers (trace, knowledge tracking, observability) never
+  changes the outcome: results and metrics stay byte-identical.
 """
 
 from __future__ import annotations
@@ -87,8 +85,8 @@ class TestRunningMaxAwake:
         assert metrics.max_awake == 9
 
 
-class TestFastGeneralEquivalence:
-    """The two loop specializations must be observationally identical."""
+class TestObserversChangeNothing:
+    """Runs with and without observers must be observationally identical."""
 
     @pytest.mark.parametrize(
         "observers",
@@ -101,17 +99,17 @@ class TestFastGeneralEquivalence:
     )
     def test_summaries_byte_identical(self, observers):
         graph = random_connected_graph(20, seed=3)
-        fast = simulate(graph, chatter_protocol, seed=4)
-        general = simulate(graph, chatter_protocol, seed=4, **observers)
-        assert json.dumps(fast.metrics.summary(), sort_keys=True) == json.dumps(
-            general.metrics.summary(), sort_keys=True
+        plain = simulate(graph, chatter_protocol, seed=4)
+        observed = simulate(graph, chatter_protocol, seed=4, **observers)
+        assert json.dumps(plain.metrics.summary(), sort_keys=True) == json.dumps(
+            observed.metrics.summary(), sort_keys=True
         )
-        assert fast.node_results == general.node_results
+        assert plain.node_results == observed.node_results
         assert {
-            node: stats.as_dict() for node, stats in fast.metrics.per_node.items()
+            node: stats.as_dict() for node, stats in plain.metrics.per_node.items()
         } == {
             node: stats.as_dict()
-            for node, stats in general.metrics.per_node.items()
+            for node, stats in observed.metrics.per_node.items()
         }
 
     def test_lenient_congest_violations_counted_identically(self):
@@ -120,19 +118,19 @@ class TestFastGeneralEquivalence:
             return None
 
         graph = path_graph(2, seed=0)
-        fast = simulate(graph, oversized, strict_congest=False)
-        general = simulate(graph, oversized, strict_congest=False, trace=True)
+        plain = simulate(graph, oversized, strict_congest=False)
+        observed = simulate(graph, oversized, strict_congest=False, trace=True)
         assert (
-            fast.metrics.congest_violations
-            == general.metrics.congest_violations
+            plain.metrics.congest_violations
+            == observed.metrics.congest_violations
             == 2
         )
 
-    def test_mst_run_identical_across_paths(self):
+    def test_mst_run_identical_with_observers(self):
         from repro.core import run_randomized_mst
 
         graph = random_connected_graph(32, seed=9)
-        fast = run_randomized_mst(graph, seed=2)
-        general = run_randomized_mst(graph, seed=2, observe=True, trace=True)
-        assert fast.mst_weights == general.mst_weights
-        assert fast.metrics.summary() == general.metrics.summary()
+        plain = run_randomized_mst(graph, seed=2)
+        observed = run_randomized_mst(graph, seed=2, observe=True, trace=True)
+        assert plain.mst_weights == observed.mst_weights
+        assert plain.metrics.summary() == observed.metrics.summary()

@@ -21,6 +21,7 @@ import pytest
 from repro.graphs import path_graph, random_connected_graph, ring_graph
 from repro.sim import (
     Awake,
+    ChannelModel,
     CompositeChannel,
     CrashSchedule,
     DelayChannel,
@@ -119,11 +120,28 @@ class TestGoldenByteIdentity:
         assert result.metrics.summary() == GOLDEN_RANDOMIZED_N32
 
     def test_explicit_perfect_channel_matches_default(self):
+        # PerfectChannel takes the round loop's inline sleeping rule; a base
+        # ChannelModel (is_perfect=False) reaches the same rule through
+        # ChannelModel.deliver, so the second input checks one against the
+        # other.
         graph = random_connected_graph(20, seed=3)
         default = simulate(graph, chatter_protocol, seed=4)
-        explicit = simulate(graph, chatter_protocol, seed=4, channel=PerfectChannel())
-        assert default.metrics.summary() == explicit.metrics.summary()
-        assert default.node_results == explicit.node_results
+        default_traced = simulate(graph, chatter_protocol, seed=4, trace=True)
+        for channel in (PerfectChannel(), ChannelModel()):
+            explicit = simulate(graph, chatter_protocol, seed=4, channel=channel)
+            assert default.metrics.summary() == explicit.metrics.summary()
+            assert {
+                node: stats.as_dict()
+                for node, stats in default.metrics.per_node.items()
+            } == {
+                node: stats.as_dict()
+                for node, stats in explicit.metrics.per_node.items()
+            }
+            assert default.node_results == explicit.node_results
+            traced = simulate(
+                graph, chatter_protocol, seed=4, channel=channel, trace=True
+            )
+            assert len(traced.trace.events) == len(default_traced.trace.events)
 
     def test_fault_free_summary_has_no_fault_keys(self):
         result = simulate(ring_graph(6, seed=0), chatter_protocol)
@@ -404,21 +422,21 @@ class TestLenientCongestAcrossTransport:
             yield Awake(i, ctx.broadcast(tuple(range(200)) + (node_id,)))
         return None
 
-    def test_fast_and_general_count_violations_identically(self):
+    def test_observers_never_change_violation_count(self):
         graph = ring_graph(6, seed=0)
-        fast = simulate(graph, self.oversized_protocol, strict_congest=False)
+        plain = simulate(graph, self.oversized_protocol, strict_congest=False)
         for observers in ({"trace": True}, {"observe": True}):
-            general = simulate(
+            observed = simulate(
                 graph, self.oversized_protocol, strict_congest=False, **observers
             )
             assert (
-                fast.metrics.congest_violations
-                == general.metrics.congest_violations
+                plain.metrics.congest_violations
+                == observed.metrics.congest_violations
                 > 0
             )
             assert json.dumps(
-                fast.metrics.summary(), sort_keys=True
-            ) == json.dumps(general.metrics.summary(), sort_keys=True)
+                plain.metrics.summary(), sort_keys=True
+            ) == json.dumps(observed.metrics.summary(), sort_keys=True)
 
     def test_violations_counted_under_fault_channels(self):
         graph = ring_graph(6, seed=0)
