@@ -1490,8 +1490,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_arguments(submit_parser)
     submit_parser.add_argument(
         "--wait", action="store_true",
-        help="poll until the job finishes, streaming progress lines to "
-        "stderr, then fetch and print the result",
+        help="long-poll until the job finishes, streaming progress lines "
+        "to stderr, then fetch and print the result",
     )
     submit_parser.add_argument(
         "--timeout", type=float, default=None,
@@ -1499,7 +1499,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit_parser.add_argument(
         "--interval", type=float, default=0.5,
-        help="(--wait) seconds between polls",
+        help="(--wait) longest a single long-poll is held, i.e. the most "
+        "seconds between progress lines; the result still arrives as soon "
+        "as the job finishes",
     )
     submit_parser.add_argument(
         "--json", action="store_true",

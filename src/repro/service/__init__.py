@@ -13,10 +13,12 @@ Three pieces, composed thin-to-thick:
     submissions drained by persistent daemon threads through
     :func:`repro.orchestrator.run_jobs`, with grid-level in-flight
     coalescing and cell-level cache dedupe.  N identical concurrent
-    submissions cost one simulation.
+    submissions cost one simulation.  Finished jobs move their results
+    to disk, so daemon memory stays flat.
 :mod:`repro.service.server`
     :class:`ServiceServer` — a stdlib ``ThreadingHTTPServer`` router:
-    ``POST /jobs``, ``GET /jobs/<hash>``, ``GET /jobs/<hash>/result``,
+    ``POST /jobs``, ``GET /jobs/<hash>[?wait=S]`` (``wait`` long-polls
+    until the job finishes), ``GET /jobs/<hash>/result``,
     ``GET /jobs/<hash>/events``, ``GET /healthz``, ``GET /stats``,
     ``GET /metrics`` (Prometheus text format).  Every request carries a
     trace ID (``X-Trace-Id`` honoured and echoed) and emits one
@@ -24,8 +26,9 @@ Three pieces, composed thin-to-thick:
 :mod:`repro.service.client`
     :class:`ServiceClient` — ``submit`` / ``poll`` / ``wait`` /
     ``fetch`` / ``events`` / ``metrics_text``, used by the ``submit``
-    and ``top`` CLI subcommands.  ``wait`` retries transient connection
-    failures with capped exponential backoff.
+    and ``top`` CLI subcommands.  ``wait`` long-polls, so it returns as
+    soon as the job finishes, and retries transient connection failures
+    with capped exponential backoff.
 
 .. code-block:: python
 

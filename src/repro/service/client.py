@@ -2,7 +2,8 @@
 
 :class:`ServiceClient` is what the ``submit`` CLI subcommand uses, and
 the reference consumer for anyone scripting against the service: submit
-a grid, poll its job hash, block until done, fetch the records.  Errors
+a grid, poll its job hash, block until done (a long-poll that returns
+as soon as the job finishes), fetch the records.  Errors
 come back as :class:`ServiceError` carrying the HTTP status and the
 server's JSON payload — never a raw ``urllib`` traceback.
 """
@@ -10,6 +11,7 @@ server's JSON payload — never a raw ``urllib`` traceback.
 from __future__ import annotations
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -62,6 +64,9 @@ class ServiceClient:
         self.retries = max(0, int(retries))
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
+        #: Per-thread long-poll hold that :meth:`wait` sets around each
+        #: :meth:`poll` call (``None`` outside ``wait``).
+        self._holding = threading.local()
 
     # -- transport -----------------------------------------------------
 
@@ -140,8 +145,16 @@ class ServiceClient:
         return self._checked("POST", "/jobs", grid)
 
     def poll(self, job: str) -> Dict[str, Any]:
-        """GET one job's status/progress snapshot."""
-        return self._checked("GET", f"/jobs/{job}")
+        """GET one job's status/progress snapshot.
+
+        Called from inside :meth:`wait`, the request is a long-poll
+        (``?wait=S``) that the daemon holds until the job finishes or
+        ``S`` seconds pass.
+        """
+        hold_s = getattr(self._holding, "seconds", None)
+        if hold_s is None:
+            return self._checked("GET", f"/jobs/{job}")
+        return self._checked("GET", f"/jobs/{job}?wait={hold_s:.3f}")
 
     def fetch(self, job: str) -> Dict[str, Any]:
         """GET a finished job's summary and records (409 while running)."""
@@ -168,11 +181,17 @@ class ServiceClient:
         interval_s: float = 0.2,
         on_progress: Optional[Callable[[Dict[str, Any]], None]] = None,
     ) -> Dict[str, Any]:
-        """Poll until the job finishes; returns the final snapshot.
+        """Block until the job finishes; returns the final snapshot.
 
-        ``on_progress`` receives every intermediate snapshot (the CLI
-        uses it to stream progress lines).  Raises ``TimeoutError`` if
-        the deadline passes first.
+        Each request is a long-poll, ``GET /jobs/<hash>?wait=<interval_s>``:
+        the daemon answers as soon as the job finishes, so ``wait``
+        returns without sleeping out a poll interval.  ``on_progress``
+        receives every snapshot, at least one per ``interval_s`` (the
+        CLI uses it to stream progress lines).  A reply that comes back
+        early with the job unfinished (an older daemon that ignores
+        ``wait``) is followed by sleeping out the rest of the interval,
+        never by a tight loop.  No hold outlives the deadline; raises
+        ``TimeoutError`` once it passes.
 
         Transient connection failures (``ServiceError`` with status 0 —
         the daemon restarting, a dropped socket) are retried with capped
@@ -185,6 +204,12 @@ class ServiceClient:
         )
         failures = 0
         while True:
+            started = time.monotonic()
+            # Half the socket timeout, so a held reply always arrives.
+            hold_s = min(interval_s, self.timeout_s / 2)
+            if deadline is not None:
+                hold_s = min(hold_s, deadline - started)
+            self._holding.seconds = max(0.0, hold_s)
             try:
                 snapshot = self.poll(job)
             except ServiceError as error:
@@ -203,17 +228,24 @@ class ServiceClient:
                     ) from error
                 time.sleep(delay)
                 continue
+            finally:
+                self._holding.seconds = None
             failures = 0
             if on_progress is not None:
                 on_progress(snapshot)
             if snapshot.get("status") in FINISHED_STATES:
                 return snapshot
-            if deadline is not None and time.monotonic() >= deadline:
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
                 raise TimeoutError(
                     f"job {job} still {snapshot.get('status')} "
                     f"after {timeout_s}s"
                 )
-            time.sleep(interval_s)
+            rest = interval_s - (now - started)
+            if deadline is not None:
+                rest = min(rest, deadline - now)
+            if rest > 0:
+                time.sleep(rest)
 
     def wait_until_up(
         self, timeout_s: float = 10.0, interval_s: float = 0.1

@@ -19,6 +19,14 @@ Dedupe happens at two levels:
   execute.  Cache replays are byte-identical to live runs
   (:meth:`repro.orchestrator.RunRecord.fingerprint`).
 
+Finished jobs leave RAM.  When a job reaches ``done`` the drainer
+writes its exact result body and its final snapshot next to the job's
+run store (``<hash>.result.json`` / ``<hash>.snapshot.json``, each via a
+temp file and ``os.replace``) and drops the records, specs, grid,
+registry and progress reporter, so daemon memory stays flat however
+many jobs it has served.  ``failed`` jobs stay in memory: resubmitting
+one requeues it.
+
 The queue is deliberately transport-agnostic: nothing in this module
 knows about HTTP.  The stdlib server in :mod:`repro.service.server` is
 one front door; a future multi-machine shard router is another.
@@ -26,7 +34,9 @@ one front door; a future multi-machine shard router is another.
 
 from __future__ import annotations
 
+import json
 import logging
+import os
 import threading
 import time
 from collections import deque
@@ -40,6 +50,7 @@ from repro.orchestrator import (
     JobSpec,
     ProgressReporter,
     ResultCache,
+    RunRecord,
     grid_from_payload,
     grid_key,
     run_jobs,
@@ -70,6 +81,49 @@ JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED)
 FINISHED_STATES = (JOB_DONE, JOB_FAILED)
 
 
+#: The ``done_event`` every retired job shares once its own has fired
+#: (a done job never clears it), so finished jobs hold no lock of their own.
+_FINISHED = threading.Event()
+_FINISHED.set()
+
+
+def result_path_for(store_path: Union[str, Path]) -> Path:
+    """Where a finished job's ``/result`` body lives, next to its store."""
+    store = Path(store_path)
+    return store.with_name(f"{store.stem}.result.json")
+
+
+def snapshot_path_for(store_path: Union[str, Path]) -> Path:
+    """Where a finished job's final poll snapshot lives, next to its store."""
+    store = Path(store_path)
+    return store.with_name(f"{store.stem}.snapshot.json")
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write ``text`` so readers see either no file or the whole of it."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    partial = path.with_name(path.name + ".tmp")
+    partial.write_text(text, encoding="utf-8")
+    os.replace(partial, path)
+
+
+def _report_from_result(payload: Mapping[str, Any]) -> BatchReport:
+    """Rebuild a :class:`BatchReport` from a ``/result`` payload."""
+    summary = payload.get("summary") or {}
+    return BatchReport(
+        records=[RunRecord.from_dict(record) for record in payload["records"]],
+        executed=summary.get("executed", 0),
+        cached=summary.get("cached", 0),
+        resumed=summary.get("resumed", 0),
+        failed=summary.get("failed", 0),
+        elapsed_s=summary.get("elapsed_s", 0.0),
+        cache_stats=summary.get("cache"),
+        progress=summary.get("progress"),
+        metrics=summary.get("metrics"),
+        store_skipped_lines=summary.get("store_skipped_lines", 0),
+    )
+
+
 def _registry_dump(registry: MetricsRegistry) -> Dict[str, Any]:
     """Dump a registry that another thread may be writing to.
 
@@ -87,11 +141,18 @@ def _registry_dump(registry: MetricsRegistry) -> Dict[str, Any]:
 
 @dataclass
 class Job:
-    """One submitted grid: specs, lifecycle state, progress, outcome."""
+    """One submitted grid: specs, lifecycle state, progress, outcome.
+
+    A ``done`` job is *retired* by :meth:`retire`: its result body and
+    final snapshot move to disk, and ``specs``, ``grid``, ``progress``
+    and ``registry`` become ``None``.  :attr:`report`,
+    :meth:`snapshot` and :meth:`result` read the files back, so callers
+    see the same values either way.
+    """
 
     job_id: str
-    specs: List[JobSpec]
-    grid: Dict[str, Any]
+    specs: Optional[List[JobSpec]]
+    grid: Optional[Dict[str, Any]]
     store_path: Path
     status: str = JOB_QUEUED
     #: Total submissions that resolved to this job (1 = never coalesced).
@@ -100,7 +161,6 @@ class Job:
     started_at: Optional[float] = None
     finished_at: Optional[float] = None
     error: Optional[str] = None
-    report: Optional[BatchReport] = None
     #: Trace ID minted for the submission that created this job; every
     #: flight event, access log line, and worker record shares it.
     trace_id: Optional[str] = None
@@ -108,12 +168,37 @@ class Job:
     recorder: Optional[FlightRecorder] = field(
         default=None, repr=False, compare=False
     )
-    progress: ProgressReporter = field(init=False)
-    registry: MetricsRegistry = field(default_factory=MetricsRegistry)
+    #: Number of cells in the grid (kept after ``specs`` is dropped).
+    cells: int = field(init=False)
+    progress: Optional[ProgressReporter] = field(init=False)
+    registry: Optional[MetricsRegistry] = field(default_factory=MetricsRegistry)
     done_event: threading.Event = field(default_factory=threading.Event)
+    #: True once :meth:`retire` moved the outcome to disk.
+    retired: bool = field(default=False, init=False)
+    _report: Optional[BatchReport] = field(default=None, repr=False)
+    _final_progress: Optional[Dict[str, Any]] = field(
+        default=None, init=False, repr=False
+    )
+    #: Guards the switch from in-memory state to the files on disk.
+    _lock: threading.Lock = field(
+        default_factory=threading.Lock, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        self.progress = ProgressReporter(total=len(self.specs))
+        self.cells = len(self.specs or ())
+        self.progress = ProgressReporter(total=self.cells)
+
+    @property
+    def report(self) -> Optional[BatchReport]:
+        """The batch report; a retired job reloads it from its result file."""
+        with self._lock:
+            if not self.retired:
+                return self._report
+        return _report_from_result(self.result())
+
+    @report.setter
+    def report(self, value: Optional[BatchReport]) -> None:
+        self._report = value
 
     def record_event(self, event: str, force: bool = False, **fields: Any) -> None:
         """Best-effort flight-recorder append (no-op without a recorder)."""
@@ -129,13 +214,26 @@ class Job:
 
         Safe to call from any thread mid-run: progress goes through the
         reporter's thread-safe :meth:`ProgressReporter.snapshot` and the
-        metrics dump degrades gracefully under concurrent writes.
+        metrics dump degrades gracefully under concurrent writes.  A
+        retired job answers from its final snapshot file, with the live
+        ``submissions`` count patched in.
         """
+        with self._lock:
+            if not self.retired:
+                return self._live_snapshot()
+        payload = json.loads(
+            snapshot_path_for(self.store_path).read_text(encoding="utf-8")
+        )
+        payload["submissions"] = self.submissions
+        return payload
+
+    def _live_snapshot(self) -> Dict[str, Any]:
+        assert self.progress is not None and self.registry is not None
         payload: Dict[str, Any] = {
             "job": self.job_id,
             "status": self.status,
             "trace_id": self.trace_id,
-            "cells": len(self.specs),
+            "cells": self.cells,
             "submissions": self.submissions,
             "submitted_at": round(self.submitted_at, 3),
             "started_at": (
@@ -149,26 +247,74 @@ class Job:
             "metrics": _registry_dump(self.registry),
             "error": self.error,
         }
-        if self.report is not None:
-            payload["summary"] = self.report.summary()
+        if self._report is not None:
+            payload["summary"] = self._report.summary()
         return payload
+
+    def progress_snapshot(self) -> Dict[str, Any]:
+        """The progress block of :meth:`snapshot`, without the file read."""
+        with self._lock:
+            if self.retired:
+                assert self._final_progress is not None
+                return dict(self._final_progress)
+            assert self.progress is not None
+            return self.progress.snapshot()
 
     def result(self) -> Dict[str, Any]:
         """Full result payload: summary plus every run record."""
+        return json.loads(self.result_bytes())
+
+    def result_bytes(self) -> bytes:
+        """The ``/result`` body: :meth:`result` as sorted-key JSON bytes.
+
+        A retired job serves the bytes written when it finished, without
+        re-serializing them.
+        """
+        with self._lock:
+            if not self.retired:
+                return self._render_result().encode("utf-8")
+        return result_path_for(self.store_path).read_bytes()
+
+    def _render_result(self) -> str:
         payload: Dict[str, Any] = {
             "job": self.job_id,
             "status": self.status,
             "error": self.error,
         }
-        if self.report is not None:
-            payload["summary"] = self.report.summary()
+        if self._report is not None:
+            payload["summary"] = self._report.summary()
             payload["records"] = [
-                record.to_dict() for record in self.report.records
+                record.to_dict() for record in self._report.records
             ]
         else:
             payload["summary"] = None
             payload["records"] = []
-        return payload
+        return json.dumps(payload, sort_keys=True)
+
+    def retire(self) -> None:
+        """Move a finished job's outcome to disk and drop it from memory.
+
+        Writes the exact ``/result`` body and the final snapshot next to
+        the run store (each atomically), then releases the records,
+        specs, grid, registry and progress reporter.  Raises ``OSError``
+        if a file cannot be written; the job then stays in memory.
+        """
+        with self._lock:
+            body = self._render_result()
+            final = self._live_snapshot()
+        _write_atomic(result_path_for(self.store_path), body)
+        _write_atomic(
+            snapshot_path_for(self.store_path),
+            json.dumps(final, sort_keys=True),
+        )
+        with self._lock:
+            self.retired = True
+            self._final_progress = final["progress"]
+            self._report = None
+            self.specs = None
+            self.grid = None
+            self.progress = None
+            self.registry = None
 
 
 class JobQueue:
@@ -212,6 +358,8 @@ class JobQueue:
         self._cond = threading.Condition()
         self._threads: List[threading.Thread] = []
         self._stopping = False
+        #: Set by :meth:`release_holds`: long-polls return at once.
+        self._holds_released = False
         self._started_at = time.monotonic()
         #: Torn store lines seen across every resumed job (healthz gauge).
         self._store_skipped_lines = 0
@@ -241,6 +389,7 @@ class JobQueue:
         """
         with self._cond:
             self._stopping = True
+            self._holds_released = True
             self._cond.notify_all()
         deadline = time.monotonic() + timeout_s
         for thread in self._threads:
@@ -279,7 +428,7 @@ class JobQueue:
                     job.status = JOB_QUEUED
                     job.error = None
                     job.done_event = threading.Event()
-                    job.progress = ProgressReporter(total=len(job.specs))
+                    job.progress = ProgressReporter(total=job.cells)
                     self._fifo.append(job_id)
                     self._cond.notify()
                     self.registry.counter("service.submissions").inc(
@@ -324,7 +473,7 @@ class JobQueue:
                 trace_id=submission_trace,
                 max_events=self.flight_max_events,
             )
-            job.record_event("submitted", job=job_id, cells=len(job.specs))
+            job.record_event("submitted", job=job_id, cells=job.cells)
             self._jobs[job_id] = job
             self._fifo.append(job_id)
             self._cond.notify()
@@ -333,11 +482,11 @@ class JobQueue:
             logger.info(
                 "job %s submitted (%d cells)",
                 job_id[:12],
-                len(job.specs),
+                job.cells,
                 extra={
                     "job": job_id,
                     "trace_id": submission_trace,
-                    "cells": len(job.specs),
+                    "cells": job.cells,
                     "coalesced": False,
                 },
             )
@@ -358,6 +507,13 @@ class JobQueue:
         if job is None or not job.finished:
             return None
         return job.result()
+
+    def result_bytes(self, job_id: str) -> Optional[bytes]:
+        """:meth:`result` as the exact JSON bytes ``/result`` serves."""
+        job = self.get(job_id)
+        if job is None or not job.finished:
+            return None
+        return job.result_bytes()
 
     def events(self, job_id: str) -> Optional[Dict[str, Any]]:
         """The job's flight-recorder payload, or ``None`` for unknown jobs.
@@ -383,6 +539,33 @@ class JobQueue:
             "path": str(path),
         }
 
+    def hold(self, job_id: str, timeout_s: float) -> Optional[Job]:
+        """Long-poll: block until the job finishes or ``timeout_s`` passes.
+
+        Returns the job (``None`` at once for an unknown hash).  "Finished"
+        means ``done_event`` is set, so a retired job's files are already
+        on disk.  :meth:`release_holds` and :meth:`shutdown` wake every
+        hold early.
+        """
+        with self._cond:
+            job = self._jobs.get(job_id)
+            if job is not None:
+                self._cond.wait_for(
+                    lambda: job.done_event.is_set() or self._holds_released,
+                    timeout_s,
+                )
+        return job
+
+    def release_holds(self) -> None:
+        """Wake every held long-poll; later holds return at once.
+
+        The server calls this before joining its handler threads, so a
+        held request never delays shutdown.
+        """
+        with self._cond:
+            self._holds_released = True
+            self._cond.notify_all()
+
     def wait(self, job_id: str, timeout_s: Optional[float] = None) -> bool:
         """Block until the job finishes; ``True`` iff it did in time."""
         job = self.get(job_id)
@@ -403,8 +586,8 @@ class JobQueue:
             job.job_id: {
                 "status": job.status,
                 "submissions": job.submissions,
-                "cells": len(job.specs),
-                "progress": job.progress.snapshot(),
+                "cells": job.cells,
+                "progress": job.progress_snapshot(),
             }
             for job in jobs
         }
@@ -535,6 +718,19 @@ class JobQueue:
             extra={"job": job.job_id, "status": job.status, **final_fields},
         )
 
+    @staticmethod
+    def _retire(job: Job) -> None:
+        """Move a done job's outcome to disk; keep it in memory on error."""
+        try:
+            job.retire()
+        except OSError as error:
+            logger.warning(
+                "job %s kept in memory: %s",
+                job.job_id[:12],
+                error,
+                extra={"job": job.job_id},
+            )
+
     def _drain(self) -> None:
         self._heartbeat()
         while True:
@@ -571,4 +767,10 @@ class JobQueue:
                 job.finished_at = time.time()
                 self._finalize(job, report)
             self._heartbeat()
-            job.done_event.set()
+            if job.status == JOB_DONE:
+                self._retire(job)
+            with self._cond:
+                job.done_event.set()
+                if job.retired:
+                    job.done_event = _FINISHED
+                self._cond.notify_all()

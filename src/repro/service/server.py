@@ -19,9 +19,17 @@ Endpoints
 ``GET /jobs/<hash>``
     Poll a job: lifecycle status, live progress snapshot, obs registry
     dump.  ``404`` for an unknown hash.
+``GET /jobs/<hash>?wait=S``
+    Long-poll: hold the request until the job is finished or ``S``
+    seconds pass (clamped to :data:`MAX_HOLD_S`), then answer with the
+    same snapshot.  An unknown hash is a ``404`` at once, never held; a
+    malformed or negative ``S`` is a ``400``.  Held requests are
+    labelled ``/jobs/{id}?wait`` in the RED metrics, so hold time stays
+    out of the ``/jobs/{id}`` latency histogram.
 ``GET /jobs/<hash>/result``
     Fetch the finished job's summary and run records.  ``409`` while the
-    job is still queued/running.
+    job is still queued/running.  A finished job's body is served as
+    the bytes the queue wrote to disk when it finished.
 ``GET /jobs/<hash>/events``
     The job's flight-recorder payload: the lifecycle event chain
     (submitted → … → finalized), its trace ID, and the drop count.
@@ -38,11 +46,12 @@ Endpoints
 from __future__ import annotations
 
 import json
+import math
 import sys
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
-from urllib.parse import urlsplit
+from urllib.parse import parse_qs, urlsplit
 
 from repro.telemetry import (
     PROMETHEUS_CONTENT_TYPE,
@@ -52,6 +61,7 @@ from repro.telemetry import (
     reset_trace_id,
     set_trace_id,
 )
+from repro.telemetry.dashboard import LONG_POLL_ENDPOINT
 from repro.telemetry.logs import access_logger
 
 from .queue import JobQueue
@@ -60,10 +70,24 @@ from .queue import JobQueue
 #: spec is a few hundred bytes; anything megabyte-sized is a mistake).
 MAX_BODY_BYTES = 1 << 20
 
+#: Longest a ``GET /jobs/<hash>?wait=S`` is held, in seconds: below the
+#: client's default 30 s socket timeout, so a held reply always arrives.
+MAX_HOLD_S = 20.0
+
+#: How often :meth:`ServiceServer.serve_forever` checks for shutdown
+#: (the stdlib default of 0.5 s would add that much to every teardown).
+SHUTDOWN_POLL_S = 0.05
+
 #: HELP strings for the service metric families served at ``/metrics``.
 METRIC_HELP = {
-    "service.http_requests": "HTTP requests served, by method/endpoint/status.",
-    "service.http_request_seconds": "HTTP request handling latency.",
+    "service.http_requests": (
+        "HTTP requests served, by method/endpoint/status "
+        "(long-polls as /jobs/{id}?wait)."
+    ),
+    "service.http_request_seconds": (
+        "HTTP request handling latency; long-polls are labelled "
+        "/jobs/{id}?wait so hold time stays out of /jobs/{id}."
+    ),
     "service.queue_wait_seconds": "Time jobs spent queued before a drainer picked them up.",
     "service.job_seconds": "Wall-clock job duration, by final status.",
     "service.jobs": "Jobs finished, by final status.",
@@ -77,20 +101,26 @@ METRIC_HELP = {
 }
 
 
-def normalize_endpoint(path: str) -> str:
-    """Collapse a request path to a low-cardinality metric label.
+def normalize_endpoint(target: str) -> str:
+    """Collapse a request target (path plus query) to a metric label.
 
     Job hashes are replaced with ``{id}`` so the label set stays bounded
     however many jobs the daemon has seen; unknown paths collapse to
-    ``other`` so probes cannot mint unbounded label values.
+    ``other`` so probes cannot mint unbounded label values.  A job poll
+    carrying ``wait`` is a long-poll and gets its own label,
+    ``/jobs/{id}?wait``, so time spent holding it is not read as
+    handling latency of ``/jobs/{id}``.
     """
-    parts = [part for part in path.split("/") if part]
+    split = urlsplit(target)
+    parts = [part for part in split.path.split("/") if part]
     if not parts:
         return "/"
     if parts[0] == "jobs":
         if len(parts) == 1:
             return "/jobs"
         if len(parts) == 2:
+            if "wait" in parse_qs(split.query, keep_blank_values=True):
+                return LONG_POLL_ENDPOINT
             return "/jobs/{id}"
         if len(parts) == 3 and parts[2] in ("result", "events"):
             return "/jobs/{id}/" + parts[2]
@@ -123,6 +153,15 @@ class ServiceServer(ThreadingHTTPServer):
     def url(self) -> str:
         host, port = self.server_address[:2]
         return f"http://{host}:{port}"
+
+    def serve_forever(self, poll_interval: float = SHUTDOWN_POLL_S) -> None:
+        """The stdlib accept loop, checking for shutdown every 0.05 s."""
+        super().serve_forever(poll_interval)
+
+    def server_close(self) -> None:
+        """Release held long-polls, then close (joining handler threads)."""
+        self.queue.release_holds()
+        super().server_close()
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -175,8 +214,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
             if started is not None
             else None
         )
-        raw_path = urlsplit(getattr(self, "path", "") or "").path
-        endpoint = normalize_endpoint(raw_path)
+        target = getattr(self, "path", "") or ""
+        raw_path = urlsplit(target).path
+        endpoint = normalize_endpoint(target)
         method = getattr(self, "command", None) or "-"
         registry = self.queue.registry
         registry.counter("service.http_requests").inc(
@@ -247,7 +287,8 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._end()
 
     def _route_get(self) -> None:
-        path = urlsplit(self.path).path.rstrip("/")
+        target = urlsplit(self.path)
+        path = target.path.rstrip("/")
         if path == "/healthz":
             payload = self.queue.healthz()
             self._reply(200 if payload["ok"] else 503, payload)
@@ -273,23 +314,47 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 return
             self._reply(200, events)
             return
+        if subresource is None:
+            self._reply_snapshot(job_id, target.query)
+            return
+        body = self.queue.result_bytes(job_id)
+        if body is not None:
+            self._reply_bytes(200, body, "application/json")
+            return
         snapshot = self.queue.status(job_id)
         if snapshot is None:
             self._error(404, f"unknown job {job_id!r}")
             return
-        if subresource is None:
-            self._reply(200, snapshot)
+        self._error(
+            409,
+            f"job {job_id!r} is not finished",
+            status=snapshot["status"],
+            progress=snapshot["progress"],
+        )
+
+    def _reply_snapshot(self, job_id: str, query: str) -> None:
+        """``GET /jobs/<hash>[?wait=S]``: the snapshot, long-polled on ``wait``."""
+        waits = parse_qs(query, keep_blank_values=True).get("wait")
+        if waits is not None:
+            try:
+                wait_s = float(waits[-1])
+            except ValueError:
+                wait_s = math.nan
+            if not wait_s >= 0.0:  # also rejects nan
+                self._error(
+                    400,
+                    "wait must be a non-negative number of seconds, "
+                    f"got {waits[-1]!r}",
+                )
+                return
+            if self.queue.hold(job_id, min(wait_s, MAX_HOLD_S)) is None:
+                self._error(404, f"unknown job {job_id!r}")
+                return
+        snapshot = self.queue.status(job_id)
+        if snapshot is None:
+            self._error(404, f"unknown job {job_id!r}")
             return
-        result = self.queue.result(job_id)
-        if result is None:
-            self._error(
-                409,
-                f"job {job_id!r} is not finished",
-                status=snapshot["status"],
-                progress=snapshot["progress"],
-            )
-            return
-        self._reply(200, result)
+        self._reply(200, snapshot)
 
     @staticmethod
     def _parse_job_path(path: str) -> Tuple[Optional[str], Optional[str]]:
@@ -364,7 +429,11 @@ def build_server(
 
 
 def serve_forever(server: ServiceServer) -> None:
-    """Run the accept loop until ``KeyboardInterrupt``; then drain."""
+    """Run the accept loop until ``KeyboardInterrupt``; then drain.
+
+    ``server_close`` releases every held long-poll before it joins the
+    handler threads, so teardown never waits out a hold.
+    """
     try:
         server.serve_forever()
     except KeyboardInterrupt:

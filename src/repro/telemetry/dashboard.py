@@ -4,7 +4,7 @@ Polls a running ``repro serve`` daemon and renders a refreshing
 single-screen view: queue depth and worker liveness, in-flight jobs with
 progress bars and ETAs, dedupe/cache effectiveness, request throughput,
 and p50/p95 request latency estimated from the Prometheus histogram
-buckets.  ``--once`` renders a single frame (``--json`` emits the
+buckets (long-polls excluded: their latency is mostly hold time).  ``--once`` renders a single frame (``--json`` emits the
 underlying sample dict instead) so scripts and CI can scrape the same
 view the operator sees.
 
@@ -25,6 +25,10 @@ from .promtext import parse_prometheus
 
 #: ANSI "clear screen, cursor home" — how the live view refreshes.
 CLEAR_SCREEN = "\x1b[2J\x1b[H"
+
+#: The ``endpoint`` label the service gives ``GET /jobs/<hash>?wait=S``
+#: long-polls; their latency is hold time, not handling time.
+LONG_POLL_ENDPOINT = "/jobs/{id}?wait"
 
 
 def quantile_from_buckets(
@@ -55,13 +59,19 @@ def quantile_from_buckets(
 
 
 def _histogram_buckets(
-    samples: Dict[str, float], family: str
+    samples: Dict[str, float], family: str, skip_endpoint: str = ""
 ) -> List[Tuple[float, float]]:
-    """Merge every labelset's cumulative buckets for one histogram family."""
+    """Merge every labelset's cumulative buckets for one histogram family.
+
+    Labelsets whose ``endpoint`` is ``skip_endpoint`` are left out.
+    """
     merged: Dict[float, float] = {}
     prefix = f"{family}_bucket{{"
+    skipped = f'endpoint="{skip_endpoint}"'
     for key, value in samples.items():
         if not key.startswith(prefix):
+            continue
+        if skip_endpoint and skipped in key:
             continue
         marker = 'le="'
         position = key.rfind(marker)
@@ -92,7 +102,9 @@ def collect_top_sample(
     """
     samples = parse_prometheus(metrics_text)
     requests_total = _sum_family(samples, "service_http_requests_total")
-    latency = _histogram_buckets(samples, "service_http_request_seconds")
+    latency = _histogram_buckets(
+        samples, "service_http_request_seconds", LONG_POLL_ENDPOINT
+    )
     queue_wait = _histogram_buckets(samples, "service_queue_wait_seconds")
     jobs = stats.get("jobs") or {}
     submissions = stats.get("submissions") or {}

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import gc
+import itertools
+import json
+import sys
 import threading
+import tracemalloc
 
 import pytest
 
 from repro.orchestrator import ResultCache, RunStore
-from repro.service import JOB_DONE, JOB_FAILED, JOB_QUEUED, JobQueue
+from repro.service import JOB_DONE, JOB_FAILED, JOB_QUEUED, Job, JobQueue
 
 RING_GRID = {
     "algorithms": ["randomized"],
@@ -216,3 +221,97 @@ class TestStatsAndHealth:
         finally:
             queue.shutdown()
         assert queue.healthz()["ok"] is False  # stopped
+
+
+class TestFinishedJobsLeaveMemory:
+    def test_memory_per_finished_job_stays_flat(self, tmp_path, monkeypatch):
+        """All-cache-hit jobs cost at most 4 KB of traced memory each once
+        finished, and their results survive the move to disk."""
+        queue = JobQueue(
+            tmp_path / "svc", cache=ResultCache(tmp_path / "cache")
+        ).start()
+        try:
+            seeds = list(range(21))
+            _run(queue, dict(RING_GRID, seeds=seeds))  # warm the cache
+            grids = [
+                dict(RING_GRID, seeds=list(pair))
+                for pair in itertools.combinations(seeds, 2)
+            ]
+            for grid in grids[:5]:  # one-time allocations (labels, logs)
+                _run(queue, grid)
+            jobs = 200
+            gc.collect()
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                for grid in grids[5:5 + jobs]:
+                    job, _ = _run(queue, grid)
+                    assert job.retired
+                    assert queue.result(job.job_id)["summary"]["cached"] == 2
+                gc.collect()
+                growth = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+            assert growth / jobs <= 4096, f"{growth / jobs:.0f} B per job"
+
+            rendered = {}
+            retire = Job.retire
+
+            def capture(job):
+                rendered[job.job_id] = job.result_bytes()
+                retire(job)
+
+            monkeypatch.setattr(Job, "retire", capture)
+            job, _ = _run(queue, grids[5 + jobs])
+            assert job.retired and job.specs is None
+            assert queue.result_bytes(job.job_id) == rendered[job.job_id]
+            payload = json.loads(rendered[job.job_id])
+            reloaded = job.report
+            assert reloaded.summary() == payload["summary"]
+            assert [r.to_dict() for r in reloaded.records] == payload["records"]
+        finally:
+            queue.shutdown()
+
+    def test_readers_racing_retirement_see_whole_jobs(self, tmp_path):
+        """Pollers never see a half-retired job: a done snapshot always
+        carries its summary and every done result all of its records."""
+        queue = JobQueue(
+            tmp_path / "svc", cache=ResultCache(tmp_path / "cache"), workers=3
+        ).start()
+        grids = [dict(RING_GRID, seeds=[seed, seed + 1]) for seed in range(12)]
+        jobs = [queue.submit(grid)[0] for grid in grids]
+        errors = []
+        finished = threading.Event()
+
+        def read():
+            try:
+                while not finished.is_set():
+                    for job in jobs:
+                        snapshot = job.snapshot()
+                        if snapshot["status"] == JOB_DONE:
+                            assert snapshot["summary"]["total"] == 2
+                        result = queue.result(job.job_id)
+                        if result is not None:
+                            assert len(result["records"]) == 2
+                        assert job.progress_snapshot()["total"] == 2
+                    queue.stats()
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        try:
+            for reader in readers:
+                reader.start()
+            for job in jobs:
+                assert queue.wait(job.job_id, timeout_s=120)
+        finally:
+            finished.set()
+            for reader in readers:
+                reader.join(timeout=30)
+            sys.setswitchinterval(interval)
+            queue.shutdown()
+        assert not any(reader.is_alive() for reader in readers)
+        assert errors == []
+        assert all(job.retired for job in jobs)

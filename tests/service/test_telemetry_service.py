@@ -110,6 +110,59 @@ class TestNormalizeEndpoint:
         assert normalize_endpoint("/admin/secret") == "other"
         assert normalize_endpoint("/jobs/a/b/c") == "other"
 
+    def test_long_polls_get_their_own_label(self):
+        assert normalize_endpoint("/jobs/abc123?wait=0.2") == "/jobs/{id}?wait"
+        assert normalize_endpoint("/jobs/abc123?wait=") == "/jobs/{id}?wait"
+        assert normalize_endpoint("/jobs/abc123?x=1") == "/jobs/{id}"
+        assert (
+            normalize_endpoint("/jobs/abc123/result?wait=1")
+            == "/jobs/{id}/result"
+        )
+
+
+class TestLongPollMetrics:
+    def test_hold_time_stays_out_of_the_poll_histogram(self, tmp_path):
+        """A 0.3 s hold lands under /jobs/{id}?wait, not /jobs/{id}, and
+        the dashboard's latency quantiles leave it out."""
+        from repro.telemetry.dashboard import collect_top_sample
+
+        queue = JobQueue(tmp_path / "idle")  # never started: stays queued
+        server = build_server(queue, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            client = ServiceClient(server.url)
+            job = client.submit(RING_GRID)["job"]
+            client.poll(job)
+            with urllib.request.urlopen(
+                f"{server.url}/jobs/{job}?wait=0.3"
+            ) as response:
+                assert json.loads(response.read())["status"] == "queued"
+            text = client.metrics_text()
+            stats = client.stats()
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+        assert validate_promtext(text) > 0
+        samples = parse_prometheus(text)
+
+        def histogram(field, endpoint):
+            label = f'endpoint="{endpoint}"'
+            return [
+                value
+                for key, value in samples.items()
+                if key.startswith(f"service_http_request_seconds_{field}{{")
+                and label in key
+            ]
+
+        assert histogram("count", "/jobs/{id}?wait") == [1]
+        assert histogram("sum", "/jobs/{id}?wait")[0] >= 0.3
+        assert histogram("count", "/jobs/{id}") == [1]
+        assert histogram("sum", "/jobs/{id}")[0] < 0.3
+        sample = collect_top_sample(stats, text)
+        assert sample["latency_p95_s"] < 0.3
+
 
 class TestMetricsEndpoint:
     def test_metrics_page_parses_and_validates(self, service):

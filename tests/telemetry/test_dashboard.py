@@ -80,6 +80,19 @@ class TestCollectTopSample:
         assert sample["latency_p50_s"] == 0.0025
         assert sample["queue_wait_p95_s"] == 0.05
 
+    def test_long_polls_stay_out_of_latency_quantiles(self):
+        registry = MetricsRegistry()
+        registry.histogram("service.http_request_seconds").observe(
+            0.002, method="GET", endpoint="/jobs/{id}"
+        )
+        for _ in range(10):
+            registry.histogram("service.http_request_seconds").observe(
+                5.0, method="GET", endpoint="/jobs/{id}?wait"
+            )
+        text = render_prometheus(registry)
+        sample = collect_top_sample(canned_stats(), text, now=0.0)
+        assert sample["latency_p95_s"] == 0.0025
+
     def test_in_flight_lists_running_jobs_only(self):
         sample = collect_top_sample(canned_stats(), canned_metrics(), now=0.0)
         assert [job["job"] for job in sample["in_flight"]] == ["deadbeef"]
