@@ -1,13 +1,6 @@
-"""Analysis and experiment harness: fits, tables, ablations, energy model."""
+"""Analysis and experiment harness: fits, ablations, energy model."""
 
 from .ablation import PhaseStats, boruvka_merge_structure, worst_merge_diameter
-from .compare import (
-    COMPARE_SCHEMA,
-    generate_problem_comparison,
-    load_comparison,
-    render_comparison,
-    write_comparison,
-)
 from .complexity import (
     MODELS,
     ScalingFit,
@@ -33,25 +26,7 @@ from .stats import (
     sample_std,
     summarize,
 )
-from .sweep import (
-    FAMILIES,
-    SweepPoint,
-    fit_sweep,
-    points_from_records,
-    run_sweep,
-    to_csv,
-    to_markdown,
-)
 from .timeline import Timeline, awake_timeline
-from .tables import (
-    ALGORITHMS,
-    MeasuredRow,
-    Table1,
-    generate_table1,
-    render_table,
-    table1_from_records,
-    table1_from_store,
-)
 from .walkthrough import (
     NodeSnapshot,
     Walkthrough,
@@ -60,9 +35,6 @@ from .walkthrough import (
 )
 
 __all__ = [
-    "ALGORITHMS",
-    "COMPARE_SCHEMA",
-    "FAMILIES",
     "ContractionReport",
     "EnergyModel",
     "FitBand",
@@ -75,13 +47,10 @@ __all__ = [
     "contraction_statistics",
     "fixed_mode_success_rate",
     "MODELS",
-    "MeasuredRow",
     "NodeSnapshot",
     "PhaseSnapshot",
     "PhaseStats",
     "ScalingFit",
-    "SweepPoint",
-    "Table1",
     "Walkthrough",
     "best_model",
     "bootstrap_mean_interval",
@@ -90,27 +59,14 @@ __all__ = [
     "doubling_ratios",
     "fit_records",
     "fit_scaling",
-    "fit_sweep",
     "mean",
     "percentile",
     "render_fit",
     "sample_std",
     "seed_level_fit",
     "summarize",
-    "generate_problem_comparison",
-    "generate_table1",
     "geometric_mean",
-    "load_comparison",
     "phase_history",
-    "points_from_records",
-    "render_comparison",
-    "render_table",
     "run_merging_walkthrough",
-    "run_sweep",
-    "table1_from_records",
-    "table1_from_store",
-    "to_csv",
-    "to_markdown",
     "worst_merge_diameter",
-    "write_comparison",
 ]

@@ -40,39 +40,7 @@ from repro.lower_bounds import (
 from .ablation import boruvka_merge_structure, worst_merge_diameter
 from .complexity import fit_scaling
 from .energy import EnergyModel
-from .tables import generate_table1, render_table
 from .walkthrough import run_merging_walkthrough
-
-
-def experiment_table1(quick: bool = False, workers: int = 1) -> Dict[str, Any]:
-    """T1-R / T1-D / BASE: measured Table 1 plus asymptotic fits.
-
-    The (algorithm × n × seed) grids are submitted to the orchestrator;
-    ``workers > 1`` runs the cells in a process pool.
-    """
-    sizes = (16, 32, 64) if quick else (16, 32, 64, 128, 256)
-    det_sizes = (8, 16, 32) if quick else (8, 16, 32, 64, 96)
-    seeds = (0, 1) if quick else (0, 1, 2)
-    randomized = generate_table1(
-        sizes, seeds, algorithms=["Randomized-MST", "Traditional-GHS"],
-        workers=workers,
-    )
-    deterministic = generate_table1(
-        det_sizes, seeds, algorithms=["Deterministic-MST"], workers=workers
-    )
-    table = randomized
-    table.rows.extend(deterministic.rows)
-    return {
-        "table": table,
-        "rendered": render_table(table),
-        "fits": {
-            "randomized_awake": table.awake_fit("Randomized-MST"),
-            "randomized_rounds": table.rounds_fit("Randomized-MST", "nlog"),
-            "deterministic_awake": table.awake_fit("Deterministic-MST"),
-            "deterministic_rounds": table.rounds_fit("Deterministic-MST", "n2log"),
-            "traditional_awake": table.rounds_fit("Traditional-GHS", "nlog"),
-        },
-    }
 
 
 def experiment_theorem3(quick: bool = False) -> Dict[str, Any]:
@@ -310,7 +278,6 @@ def experiment_corollary1(quick: bool = False) -> Dict[str, Any]:
 
 
 ALL_EXPERIMENTS = {
-    "table1": experiment_table1,
     "theorem3": experiment_theorem3,
     "theorem4": experiment_theorem4,
     "fig1": experiment_fig1_reduction,
@@ -346,16 +313,7 @@ def main(argv: Sequence[str] = None) -> None:
         kwargs: Dict[str, Any] = {"quick": args.quick}
         if "workers" in inspect.signature(driver).parameters:
             kwargs["workers"] = args.workers
-        outcome = driver(**kwargs)
-        if name == "table1":
-            print(outcome["rendered"])
-            for fit_name, fit in outcome["fits"].items():
-                print(
-                    f"  {fit_name}: constant={fit.constant:.2f} "
-                    f"spread={fit.ratio_spread:.2f} ({fit.model})"
-                )
-        else:
-            _print_nested(outcome)
+        _print_nested(driver(**kwargs))
 
 
 def _print_nested(value: Any, indent: int = 1) -> None:

@@ -1,11 +1,9 @@
 """Shared descriptive statistics for every analysis layer.
 
-Per-seed aggregation (mean / std / confidence intervals) used to be
-re-implemented inline wherever a module averaged repeated measurements —
-:mod:`repro.analysis.randomized_stats`, :mod:`repro.analysis.compare`,
-the sweep fitter.  This module is the one home for those helpers, and the
-campaign fit layer (:mod:`repro.analysis.fits`) builds its bootstrap
-confidence bands on the same primitives.
+Per-seed aggregation (mean / std / confidence intervals) has one home:
+:mod:`repro.analysis.randomized_stats` and the campaign layer use these
+helpers, and the campaign fit layer (:mod:`repro.analysis.fits`) builds
+its bootstrap confidence bands on the same primitives.
 
 Everything here is deterministic: the bootstrap takes an explicit seed
 and uses :class:`random.Random`, so resampled intervals are reproducible

@@ -2,9 +2,9 @@
 
 One spec file (TOML or JSON) describes dense grids over the
 orchestrator's axes, adaptive drivers (bisection crossover search,
-fault-rate threshold scan), and statistical fits with bootstrap
-confidence bands; one resumable command runs it all into a
-byte-reproducible ``repro-campaign/1`` report.  See
+fault-rate threshold scan), statistical fits with bootstrap
+confidence bands, and pass/fail checks; one resumable command runs it
+all into a byte-reproducible ``repro-campaign/1`` report.  See
 ``docs/campaigns.md`` and ``examples/campaigns/``.
 """
 
@@ -21,6 +21,7 @@ from .drivers import (
 from .report import (
     CAMPAIGN_SCHEMA,
     build_report,
+    checks_passed,
     load_report,
     render_report,
     validate_campaign_report,
@@ -37,7 +38,13 @@ from .runner import (
     report_path,
     run_campaign,
 )
-from .spec import CampaignSpec, CampaignSpecError, FitSection, GridSection
+from .spec import (
+    CampaignSpec,
+    CampaignSpecError,
+    CheckSection,
+    FitSection,
+    GridSection,
+)
 
 __all__ = [
     "BisectDriver",
@@ -46,6 +53,7 @@ __all__ = [
     "CampaignError",
     "CampaignSpec",
     "CampaignSpecError",
+    "CheckSection",
     "DRIVER_KINDS",
     "DriverBudgetError",
     "FitSection",
@@ -59,6 +67,7 @@ __all__ = [
     "build_driver",
     "build_report",
     "campaign_root",
+    "checks_passed",
     "default_budget",
     "ledger_path",
     "load_report",

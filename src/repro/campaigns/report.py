@@ -2,7 +2,8 @@
 
 A campaign run distils into one JSON document — the report — holding the
 spec's content hash, every grid's records (deterministic portions only),
-every driver's audit trail, and every fit with its bootstrap bands.  The
+every driver's audit trail, every fit with its bootstrap bands, and —
+when the spec declares any — every check's verdict.  The
 report is *replay-stable*: it is built exclusively from record
 fingerprints (never telemetry), records are listed in canonical grid
 expansion order (never execution order), and fits use fixed bootstrap
@@ -18,10 +19,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis.fits import fit_records, render_fit
+from repro.analysis.stats import mean
 from repro.orchestrator import RunRecord, grid_key
 from repro.orchestrator.store import STATUS_OK
 
-from .spec import CampaignSpec
+from .spec import CHECK_KEYS, CampaignSpec, CheckSection
 
 #: Version tag of the campaign report schema.
 CAMPAIGN_SCHEMA = "repro-campaign/1"
@@ -36,6 +38,61 @@ REPORT_KEYS = (
 def deterministic_record(record: RunRecord) -> Dict[str, Any]:
     """The replay-stable portion of a record (its fingerprint content)."""
     return json.loads(record.fingerprint())
+
+
+def _growth(records: Sequence[RunRecord], metric: str) -> float:
+    """Mean ``metric`` at the largest n over the mean at the smallest n."""
+    by_size: Dict[int, List[float]] = {}
+    for record in records:
+        value = (record.metrics or {}).get(metric)
+        if record.status == STATUS_OK and value is not None:
+            by_size.setdefault(int(record.metrics["n"]), []).append(value)
+    if not by_size:
+        raise ValueError(f"no usable records to measure growth of {metric!r}")
+    return mean(by_size[max(by_size)]) / max(mean(by_size[min(by_size)]), 1e-9)
+
+
+def evaluate_check(
+    check: CheckSection,
+    grid_records: Mapping[str, Sequence[RunRecord]],
+    fits: Mapping[str, Mapping[str, Any]],
+) -> Dict[str, Any]:
+    """One check's verdict: its spec keys, what was measured, ``passed``."""
+    verdict: Dict[str, Any] = check.to_payload()
+    if check.kind == "correct":
+        records = grid_records.get(check.grid, [])
+        incorrect = sum(
+            1 for record in records
+            if record.status != STATUS_OK
+            or not (record.metrics or {}).get("correct")
+        )
+        violations = sum(
+            (record.metrics or {}).get("violations") or 0
+            for record in records
+        )
+        verdict.update(
+            cells=len(records),
+            incorrect=incorrect,
+            violations=violations,
+            passed=incorrect == 0 and violations == 0,
+        )
+    elif check.kind == "spread":
+        spread = fits[check.fit]["ratio_spread"]
+        verdict.update(ratio_spread=spread, passed=spread <= check.max)
+    else:
+        growth = _growth(grid_records.get(check.grid, []), check.metric)
+        than = _growth(grid_records.get(check.than, []), check.metric)
+        verdict.update(
+            growth=round(growth, 4),
+            than_growth=round(than, 4),
+            passed=growth < than,
+        )
+    return verdict
+
+
+def checks_passed(payload: Mapping[str, Any]) -> bool:
+    """True iff every check in a report payload passed (vacuous if none)."""
+    return all(check["passed"] for check in payload.get("checks") or [])
 
 
 def build_report(
@@ -90,7 +147,7 @@ def build_report(
         )
         fits[fit.name] = {"grid": fit.grid, **band.to_dict()}
 
-    return {
+    report = {
         "schema": CAMPAIGN_SCHEMA,
         "campaign": spec.name,
         "description": spec.description,
@@ -100,6 +157,13 @@ def build_report(
         "fits": fits,
         "summary": totals,
     }
+    # Only present when declared, so reports of specs without checks
+    # keep their bytes.
+    if spec.checks:
+        report["checks"] = [
+            evaluate_check(check, grid_records, fits) for check in spec.checks
+        ]
+    return report
 
 
 def validate_campaign_report(payload: Mapping[str, Any]) -> Dict[str, Any]:
@@ -166,6 +230,22 @@ def validate_campaign_report(payload: Mapping[str, Any]) -> Dict[str, Any]:
         for key in ("grid", "metric", "model", "constant", "points"):
             if key not in fit:
                 problems.append(f"fit {name!r} is missing {key!r}")
+    checks = payload.get("checks", [])
+    if not isinstance(checks, list):
+        problems.append("'checks' must be a list")
+        checks = []
+    for index, check in enumerate(checks):
+        keys = CHECK_KEYS.get(check.get("kind"))
+        if keys is None:
+            problems.append(
+                f"check #{index} has unknown kind {check.get('kind')!r}"
+            )
+            continue
+        for key in keys:
+            if key not in check:
+                problems.append(f"check #{index} is missing {key!r}")
+        if not isinstance(check.get("passed"), bool):
+            problems.append(f"check #{index} needs a boolean 'passed'")
     if problems:
         raise ValueError(
             "invalid campaign report: " + "; ".join(problems)
@@ -250,4 +330,29 @@ def render_report(payload: Mapping[str, Any]) -> str:
             )
     for name, fit in (payload.get("fits") or {}).items():
         lines.append(render_fit(name, fit))
+    for check in payload.get("checks") or []:
+        lines.append(render_check(check))
     return "\n".join(lines)
+
+
+def render_check(check: Mapping[str, Any]) -> str:
+    """One verdict line for a check entry of a report."""
+    verdict = "PASS" if check["passed"] else "FAIL"
+    if check["kind"] == "correct":
+        detail = (
+            f"grid {check['grid']!r}: {check['cells']} cells, "
+            f"{check['incorrect']} incorrect, "
+            f"{check['violations']} violations"
+        )
+    elif check["kind"] == "spread":
+        detail = (
+            f"fit {check['fit']!r}: ratio spread "
+            f"{check['ratio_spread']:.2f} <= {check['max']}"
+        )
+    else:
+        detail = (
+            f"{check['metric']} grows x{check['growth']:.2f} over "
+            f"{check['grid']!r} < x{check['than_growth']:.2f} over "
+            f"{check['than']!r}"
+        )
+    return f"check {check['kind']:<7} {verdict}  {detail}"

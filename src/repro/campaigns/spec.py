@@ -38,6 +38,11 @@ Spec grammar (TOML shown; the JSON form is isomorphic)::
     metric = "max_awake"
     model = "log"                        # any repro.analysis MODELS key
     resamples = 200
+
+    [[checks]]                           # pass/fail verdicts on the report
+    kind = "spread"                      # or "correct" / "slower"
+    fit = "mst-awake-vs-logn"
+    max = 3.0
 """
 
 from __future__ import annotations
@@ -51,11 +56,11 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis.complexity import MODELS
-from repro.orchestrator import JobSpec, grid_from_payload
+from repro.orchestrator import JobSpec, grid_from_payload, resolve_algorithm
 from repro.orchestrator.jobs import GRID_PAYLOAD_KEYS, canonical_json
 
 #: Top-level sections a campaign spec may contain.
-CAMPAIGN_SECTIONS = ("campaign", "grids", "drivers", "fits")
+CAMPAIGN_SECTIONS = ("campaign", "grids", "drivers", "fits", "checks")
 
 #: Execution orderings a grid section may request.  Ordering affects the
 #: order cells are *executed* in, never their hashes or the report (the
@@ -70,6 +75,13 @@ FIT_KEYS = (
     "name", "grid", "metric", "model", "algorithm", "resamples",
     "confidence", "seed",
 )
+
+#: Check kinds and the keys each takes (see :class:`CheckSection`).
+CHECK_KEYS = {
+    "correct": ("kind", "grid"),
+    "spread": ("kind", "fit", "max"),
+    "slower": ("kind", "metric", "grid", "than"),
+}
 
 
 class CampaignSpecError(ValueError):
@@ -182,8 +194,31 @@ class FitSection:
 
 
 @dataclass(frozen=True)
+class CheckSection:
+    """One pass/fail verdict the report asserts.
+
+    * ``correct`` — every cell of ``grid`` is ok, correct, 0 violations;
+    * ``spread`` — fit ``fit`` has ``ratio_spread <= max``;
+    * ``slower`` — ``metric`` grows less over ``grid`` than over
+      ``than`` (growth = mean at the largest n / mean at the smallest).
+    """
+
+    kind: str
+    grid: Optional[str] = None
+    fit: Optional[str] = None
+    max: Optional[float] = None
+    metric: Optional[str] = None
+    than: Optional[str] = None
+
+    def to_payload(self) -> Dict[str, Any]:
+        return {
+            key: getattr(self, key) for key in CHECK_KEYS[self.kind]
+        }
+
+
+@dataclass(frozen=True)
 class CampaignSpec:
-    """A validated campaign: grids + drivers + fits, content-hashable."""
+    """A validated campaign: grids + drivers + fits + checks, hashable."""
 
     name: str
     description: str = ""
@@ -193,6 +228,7 @@ class CampaignSpec:
     #: eagerly at load time).
     drivers: Tuple[Mapping[str, Any], ...] = field(default_factory=tuple)
     fits: Tuple[FitSection, ...] = field(default_factory=tuple)
+    checks: Tuple[CheckSection, ...] = field(default_factory=tuple)
     #: Where the spec was loaded from (context for error messages and
     #: the report); not part of the content hash.
     source: Optional[str] = None
@@ -252,23 +288,40 @@ class CampaignSpec:
                     f"duplicate grid name {grid.name!r}{_context(source)}"
                 )
             seen.add(grid.name)
+        compiled: Dict[str, List[JobSpec]] = {}
+        for grid in grids:
+            try:
+                compiled[grid.name] = grid.specs()
+            except ValueError as error:
+                raise CampaignSpecError(
+                    f"grid {grid.name!r}: {error}{_context(source)}"
+                ) from error
         drivers = tuple(
             dict(section) for section in payload.get("drivers") or []
         )
+        from .drivers import build_driver
+
+        for config in drivers:
+            build_driver(config, source=source)
         fits = tuple(
-            cls._parse_fit(section, index, {g.name for g in grids}, source)
+            cls._parse_fit(section, index, compiled, source)
             for index, section in enumerate(payload.get("fits") or [])
         )
-        spec = cls(
+        checks = tuple(
+            cls._parse_check(
+                section, index, compiled, {fit.name for fit in fits}, source
+            )
+            for index, section in enumerate(payload.get("checks") or [])
+        )
+        return cls(
             name=name,
             description=str(header.get("description") or ""),
             grids=grids,
             drivers=drivers,
             fits=fits,
+            checks=checks,
             source=source,
         )
-        spec.validate()
-        return spec
 
     @staticmethod
     def _parse_grid(
@@ -335,7 +388,7 @@ class CampaignSpec:
     def _parse_fit(
         section: Mapping[str, Any],
         index: int,
-        grid_names: set,
+        compiled: Mapping[str, Sequence[JobSpec]],
         source: Optional[str],
     ) -> FitSection:
         where = f"[[fits]] #{index}"
@@ -346,10 +399,10 @@ class CampaignSpec:
                 f"{where} needs a non-empty string 'name'{_context(source)}"
             )
         grid = section.get("grid")
-        if grid not in grid_names:
+        if grid not in compiled:
             raise CampaignSpecError(
                 f"fit {fit_name!r} references unknown grid {grid!r}; "
-                f"declared grids: {sorted(grid_names)}{_context(source)}"
+                f"declared grids: {sorted(compiled)}{_context(source)}"
             )
         model = section.get("model", "log")
         if model not in MODELS:
@@ -357,37 +410,96 @@ class CampaignSpec:
                 f"fit {fit_name!r} has unknown model {model!r}; choose "
                 f"from {sorted(MODELS)}{_context(source)}"
             )
+        algorithm = section.get("algorithm")
+        if algorithm is not None:
+            # Records carry canonical names; resolve aliases here so a fit
+            # that matches no cell fails at load, not after the grid ran.
+            jobs = compiled[grid]
+            on_grid = sorted({job.algorithm for job in jobs})
+            try:
+                algorithm = resolve_algorithm(str(algorithm), jobs[0].problem)
+            except ValueError as error:
+                raise CampaignSpecError(
+                    f"fit {fit_name!r}: {error}{_context(source)}"
+                ) from error
+            if algorithm not in on_grid:
+                raise CampaignSpecError(
+                    f"fit {fit_name!r} selects algorithm {algorithm!r}, "
+                    f"which grid {grid!r} does not run; its algorithms: "
+                    f"{on_grid}{_context(source)}"
+                )
         return FitSection(
             name=fit_name,
             grid=grid,
             metric=str(section.get("metric", "max_awake")),
             model=model,
-            algorithm=section.get("algorithm"),
+            algorithm=algorithm,
             resamples=int(section.get("resamples", 200)),
             confidence=float(section.get("confidence", 0.95)),
             seed=int(section.get("seed", 0)),
         )
 
-    # -- validation / compilation --------------------------------------
-
-    def validate(self) -> None:
-        """Validate everything that needs the full registry.
-
-        Grid payloads compile (axis values resolve against the
-        orchestrator registries) and driver configs build.  Raises
-        :class:`CampaignSpecError` with the spec path in the message.
-        """
-        from .drivers import build_driver
-
-        for grid in self.grids:
-            try:
-                grid.specs()
-            except ValueError as error:
+    @staticmethod
+    def _parse_check(
+        section: Mapping[str, Any],
+        index: int,
+        compiled: Mapping[str, Sequence[JobSpec]],
+        fit_names: set,
+        source: Optional[str],
+    ) -> CheckSection:
+        where = f"[[checks]] #{index}"
+        kind = section.get("kind")
+        if kind not in CHECK_KEYS:
+            raise CampaignSpecError(
+                f"{where} has unknown kind {kind!r}; choose from "
+                f"{sorted(CHECK_KEYS)}{_context(source)}"
+            )
+        keys = CHECK_KEYS[kind]
+        _require_keys(section, keys, where, source)
+        missing = [key for key in keys if key not in section]
+        if missing:
+            raise CampaignSpecError(
+                f"{where} ({kind}) is missing {missing}{_context(source)}"
+            )
+        for key in ("grid", "than"):
+            if key in keys and section[key] not in compiled:
                 raise CampaignSpecError(
-                    f"grid {grid.name!r}: {error}{_context(self.source)}"
-                ) from error
-        for config in self.drivers:
-            build_driver(config, source=self.source)
+                    f"{where} references unknown grid {section[key]!r}; "
+                    f"declared grids: {sorted(compiled)}{_context(source)}"
+                )
+        if kind == "spread":
+            if section["fit"] not in fit_names:
+                raise CampaignSpecError(
+                    f"{where} references unknown fit {section['fit']!r}; "
+                    f"declared fits: {sorted(fit_names)}{_context(source)}"
+                )
+            limit = section["max"]
+            if isinstance(limit, bool) or not isinstance(limit, (int, float)):
+                raise CampaignSpecError(
+                    f"{where} needs a number 'max', got {limit!r}"
+                    f"{_context(source)}"
+                )
+            return CheckSection(kind=kind, fit=section["fit"], max=limit)
+        if kind == "slower":
+            sizes = {
+                key: sorted({job.n for job in compiled[section[key]]})
+                for key in ("grid", "than")
+            }
+            if sizes["grid"] != sizes["than"]:
+                raise CampaignSpecError(
+                    f"{where} compares grids with different sizes: "
+                    f"{section['grid']!r} {sizes['grid']} vs "
+                    f"{section['than']!r} {sizes['than']}{_context(source)}"
+                )
+            return CheckSection(
+                kind=kind,
+                metric=str(section["metric"]),
+                grid=section["grid"],
+                than=section["than"],
+            )
+        return CheckSection(kind=kind, grid=section["grid"])
+
+    # -- compilation ---------------------------------------------------
 
     def compile(self) -> Dict[str, List[JobSpec]]:
         """Compile every grid section to JobSpecs (canonical order)."""
@@ -396,13 +508,20 @@ class CampaignSpec:
     # -- hashing / serialisation ---------------------------------------
 
     def payload(self) -> Dict[str, Any]:
-        """The canonical content of the spec, as plain JSON types."""
-        return {
+        """The canonical content of the spec, as plain JSON types.
+
+        ``checks`` appears only when declared, so specs without checks
+        keep the content hash they had before the section existed.
+        """
+        payload: Dict[str, Any] = {
             "campaign": {"name": self.name, "description": self.description},
             "grids": [grid.to_payload() for grid in self.grids],
             "drivers": [dict(config) for config in self.drivers],
             "fits": [fit.to_payload() for fit in self.fits],
         }
+        if self.checks:
+            payload["checks"] = [check.to_payload() for check in self.checks]
+        return payload
 
     @property
     def spec_hash(self) -> str:

@@ -8,7 +8,7 @@ content address used by the result cache and the run store.
 
 :func:`execute_job` is the single place a spec becomes a measurement: it
 builds the graph, runs the algorithm, and returns the flat metrics record
-every consumer (sweep CSVs, Table 1, the batch CLI) shares.  It is a
+every consumer (the batch CLI, campaigns, the service) shares.  It is a
 module-level function so worker processes can pickle it.
 """
 
@@ -287,9 +287,8 @@ def grid_key(specs: Sequence[JobSpec]) -> str:
 def execute_job(spec: JobSpec) -> Dict[str, Any]:
     """Run one job and return its flat, deterministic metrics record.
 
-    The record's fields intentionally match
-    :class:`repro.analysis.sweep.SweepPoint` so sweep exports, store
-    records, and cache entries are interchangeable.
+    Store records, cache entries, and campaign reports all carry this
+    same record.
 
     When the spec carries a ``faults`` option (a channel spec string, see
     :mod:`repro.sim.transport`), the run is executed under that channel,

@@ -10,19 +10,18 @@ one problem end to end:
   plus their canonical/alias names and diagnostic variants;
 * a reference solver producing the ground-truth output on a graph;
 * the invariant monitors that ``--monitors all`` should attach;
-* the awake-complexity bound the measured curves are normalized against.
+* the paper's awake-complexity bound, as prose.
 
 A :class:`ProblemBundle` packages exactly that, and the module-level
 registry (:func:`register_problem` / :func:`problem_bundle`) is the single
 place drivers resolve a ``problem=`` axis — the CLI, ``JobSpec``, the
-monitor spec resolver, and the comparison tables all go through it, so
+monitor spec resolver, and campaign grids all go through it, so
 adding a problem (coloring, congested-clique MST, ...) is one new bundle
 module, not a cross-layer surgery.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -74,11 +73,6 @@ class ProblemBundle:
     monitors: Tuple[str, ...] = ()
     #: Names of this problem's benchmarks in :mod:`repro.bench.suites`.
     bench_names: Tuple[str, ...] = ()
-    #: ``n -> theoretical awake normalizer`` for measured-curve ratios
-    #: (``log2 n`` for MST, ``log2 log2 n`` for MIS).
-    awake_normalizer: Callable[[int], float] = lambda n: math.log2(max(2, n))
-    #: Human name of the normalizer column in comparison tables.
-    normalizer_label: str = "log2 n"
 
     def resolve_algorithm(self, name: str) -> str:
         """Return the canonical name for ``name`` (alias or canonical).

@@ -1,6 +1,5 @@
 """The MIS problem bundle: O(log log n)-awake maximal independent set."""
 
-import math
 
 from repro.invariants.monitors import PROBLEM_MONITORS
 
@@ -51,8 +50,6 @@ MIS_BUNDLE = register_problem(
             "mis_sleeping_e2e_n256",
             "mis_sleeping_monitored_n64",
         ),
-        awake_normalizer=lambda n: math.log2(max(2.0, math.log2(max(4, n)))),
-        normalizer_label="log2 log2 n",
     )
 )
 

@@ -9,7 +9,6 @@ return an :class:`repro.core.MSTRunResult`.
 
 from __future__ import annotations
 
-import math
 from typing import Any, Dict
 
 from repro.baselines import run_pipelined_ghs, run_traditional_ghs
@@ -115,7 +114,5 @@ MST_BUNDLE = register_problem(
             "mst_randomized_e2e_n256",
             "mst_deterministic_e2e_n64",
         ),
-        awake_normalizer=lambda n: math.log2(max(2, n)),
-        normalizer_label="log2 n",
     )
 )

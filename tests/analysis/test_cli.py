@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -54,22 +56,22 @@ class TestSubcommands:
         assert main(["run", "--algorithm", "spanning-tree", "--n", "12"]) == 0
         assert "spanning tree    : True" in capsys.readouterr().out
 
-    def test_table1(self, capsys):
+    def test_table1(self, capsys, tmp_path, shrunk_campaign):
+        spec_path = tmp_path / "table1.json"
+        spec_path.write_text(
+            json.dumps(shrunk_campaign("table1", [8, 16], 1))
+        )
         code = main(
             [
-                "table1",
-                "--sizes",
-                "8",
-                "16",
-                "--seeds",
-                "1",
-                "--algorithms",
-                "Randomized-MST",
+                "campaign", "run", str(spec_path),
+                "--root", str(tmp_path / "campaigns"), "--no-cache",
+                "--quiet",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "Randomized-MST" in out and "awake =" in out
+        assert "randomized-awake-vs-logn: max_awake =" in out
+        assert "FAIL" not in out
 
     def test_walkthrough(self, capsys):
         assert main(["walkthrough"]) == 0

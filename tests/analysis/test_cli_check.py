@@ -15,16 +15,19 @@ class TestParser:
         assert args.algorithm == "randomized"
         assert args.monitors == "all"
         assert args.faults is None
-        assert not args.sweep
 
-    def test_check_sweep_flags(self):
+    def test_check_sweep_flags(self, capsys):
+        # A monitored grid is a batch: check keeps to one cell.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["check", "--sweep"])
+        assert "unrecognized arguments: --sweep" in capsys.readouterr().err
         args = build_parser().parse_args(
-            ["check", "--sweep", "--sizes", "8", "16", "--seed-range", "2",
-             "--algorithms", "deterministic"]
+            ["batch", "--monitors", "all", "--sizes", "8", "16",
+             "--seeds", "2", "--algorithms", "deterministic"]
         )
-        assert args.sweep
+        assert args.monitors == "all"
         assert args.sizes == [8, 16]
-        assert args.seed_range == 2
+        assert args.seeds == 2
         assert args.algorithms == ["deterministic"]
 
     def test_run_accepts_monitors(self):
@@ -81,20 +84,21 @@ class TestCheckSingle:
 
 
 class TestCheckSweep:
-    def test_small_sweep_is_clean(self, capsys):
-        rc = main(["check", "--sweep", "--sizes", "8", "--seed-range", "1",
-                   "--json"])
+    def test_small_sweep_is_clean(self, tmp_path, capsys):
+        rc = main(["batch", "--algorithms", "randomized", "deterministic",
+                   "--sizes", "8", "--seeds", "1", "--monitors", "all",
+                   "--no-cache", "--quiet", "--store",
+                   str(tmp_path / "runs.jsonl"), "--json"])
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["ok"]
-        assert payload["failed"] == 0
-        assert payload["total_violations"] == 0
-        assert payload["total_checks"] > 0
+        assert payload["summary"]["failed"] == 0
         # gnp x one size x one seed x both algorithms.
-        assert len(payload["cells"]) == 2
-        for cell in payload["cells"]:
-            assert cell["ok"]
-            assert cell["checks_run"] > 0
+        assert len(payload["records"]) == 2
+        for record in payload["records"]:
+            metrics = record["metrics"]
+            assert metrics["correct"] is True
+            assert metrics["violations"] == 0
+            assert metrics["monitor_checks"] > 0
 
 
 class TestRunWithMonitors:

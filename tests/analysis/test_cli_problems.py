@@ -1,12 +1,20 @@
-"""CLI problem axis: --problem on run/check/batch/trace, and ``compare``."""
+"""CLI problem axis: --problem on run/check/batch/trace, and the
+MST-vs-MIS campaign."""
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.campaigns import CampaignSpec
 from repro.cli import build_parser, main
+
+PROBLEMS_SPEC = (
+    Path(__file__).resolve().parents[2] / "examples" / "campaigns"
+    / "problems.toml"
+)
 
 
 class TestParser:
@@ -23,9 +31,10 @@ class TestParser:
         assert args.problem == "mis"
 
     def test_compare_defaults_to_acceptance_grid(self):
-        args = build_parser().parse_args(["compare"])
-        assert args.sizes == [64, 256, 1024]
-        assert args.seeds == 3
+        spec = CampaignSpec.load(PROBLEMS_SPEC)
+        for grid in spec.grids:
+            assert grid.payload["sizes"] == [64, 256, 1024]
+            assert grid.payload["seeds"] == 3
 
     def test_bench_accepts_mis_suite(self):
         args = build_parser().parse_args(["bench", "--suite", "mis"])
@@ -78,18 +87,21 @@ class TestCheck:
         assert payload["outcome"] == "correct"
         assert payload["violations"] == 0
 
-    def test_check_sweep_mis(self, capsys):
+    def test_check_sweep_mis(self, capsys, tmp_path):
         code = main(
             [
-                "check", "--sweep", "--problem", "mis",
-                "--sizes", "8", "--seed-range", "2", "--json",
+                "batch", "--problem", "mis", "--algorithms", "mis",
+                "--sizes", "8", "--seeds", "2", "--monitors", "all",
+                "--no-cache", "--quiet", "--store",
+                str(tmp_path / "mis.jsonl"), "--json",
             ]
         )
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
-        assert payload["ok"] is True
-        assert [cell["algorithm"] for cell in payload["cells"]] == ["mis"] * 2
-        assert payload["total_violations"] == 0
+        metrics = [record["metrics"] for record in payload["records"]]
+        assert [m["algorithm"] for m in metrics] == ["Sleeping-MIS"] * 2
+        assert all(m["monitor_checks"] > 0 for m in metrics)
+        assert sum(m["violations"] for m in metrics) == 0
 
 
 class TestBatch:
@@ -131,15 +143,20 @@ class TestTrace:
 
 
 class TestCompare:
-    def test_compare_small_grid(self, capsys, tmp_path):
+    def test_compare_small_grid(self, capsys, tmp_path, shrunk_campaign):
+        spec_path = tmp_path / "problems.json"
+        spec_path.write_text(
+            json.dumps(shrunk_campaign("problems", [8, 16], 1))
+        )
         out_path = tmp_path / "compare.json"
         code = main(
             [
-                "compare", "--sizes", "8", "16", "--seeds", "1",
-                "--output", str(out_path), "--json",
+                "campaign", "run", str(spec_path),
+                "--root", str(tmp_path / "campaigns"), "--no-cache",
+                "--quiet", "--output", str(out_path), "--json",
             ]
         )
         payload = json.loads(capsys.readouterr().out)
         assert code in (0, 1)  # tiny grids may not separate the curves
-        assert set(payload["problems"]) == {"mst", "mis"}
+        assert set(payload["grids"]) == {"mst-curve", "mis-curve"}
         assert out_path.exists()

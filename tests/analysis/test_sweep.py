@@ -1,113 +1,87 @@
-"""The sweep framework and its exports."""
+"""Grid sweeps through ``batch``, the CLI's one grid runner."""
 
 from __future__ import annotations
 
-import pytest
+import json
 
-from repro.analysis import (
-    FAMILIES,
-    fit_sweep,
-    run_sweep,
-    to_csv,
-    to_markdown,
-)
-from repro.analysis.sweep import COLUMNS
+from repro.analysis import fit_records
 from repro.cli import main as cli_main
+
+#: The per-run columns the old sweep CSV export had; every ``batch``
+#: record carries them.
+SWEEP_COLUMNS = (
+    "algorithm", "family", "n", "m", "max_id", "seed", "phases",
+    "max_awake", "mean_awake", "rounds", "awake_round_product",
+    "messages", "bits", "correct",
+)
+
+
+def batch(tmp_path, capsys, *args):
+    """Run ``batch --json`` on a private store; returns (code, metrics)."""
+    code = cli_main(
+        [
+            "batch", *args, "--no-cache", "--quiet", "--json",
+            "--store", str(tmp_path / "runs.jsonl"),
+        ]
+    )
+    captured = capsys.readouterr()
+    if code == 2:
+        return code, captured.err
+    records = json.loads(captured.out)["records"]
+    return code, [record["metrics"] for record in records]
 
 
 class TestRunSweep:
-    def test_grid_shape(self):
-        points = run_sweep(
-            ["Randomized-MST"], ["ring", "path"], [8, 16], [0, 1]
+    def test_grid_shape(self, tmp_path, capsys):
+        code, points = batch(
+            tmp_path, capsys, "--families", "ring", "path",
+            "--sizes", "8", "16", "--seeds", "2",
         )
+        assert code == 0
         assert len(points) == 2 * 2 * 2
-        assert {point.family for point in points} == {"ring", "path"}
+        assert {point["family"] for point in points} == {"ring", "path"}
 
-    def test_all_correct(self):
-        points = run_sweep(["Randomized-MST"], ["gnp"], [12], [0, 1, 2])
-        assert all(point.correct for point in points)
+    def test_all_correct(self, tmp_path, capsys):
+        code, points = batch(tmp_path, capsys, "--sizes", "12", "--seeds", "3")
+        assert code == 0
+        assert all(point["correct"] for point in points)
 
-    def test_unknown_algorithm_rejected(self):
-        with pytest.raises(ValueError, match="unknown algorithm"):
-            run_sweep(["Quantum-MST"], ["ring"], [8], [0])
+    def test_unknown_algorithm_rejected(self, tmp_path, capsys):
+        code, err = batch(tmp_path, capsys, "--algorithms", "Quantum-MST")
+        assert code == 2
+        assert "unknown algorithm" in err
 
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError, match="unknown family"):
-            run_sweep(["Randomized-MST"], ["hypercube"], [8], [0])
+    def test_unknown_family_rejected(self, tmp_path, capsys):
+        code, err = batch(tmp_path, capsys, "--families", "hypercube")
+        assert code == 2
+        assert "unknown family" in err
 
-    def test_id_range_factor(self):
-        points = run_sweep(
-            ["Randomized-MST"], ["ring"], [8], [0], id_range_factor=10
+    def test_id_range_factor(self, tmp_path, capsys):
+        code, points = batch(
+            tmp_path, capsys, "--families", "ring", "--sizes", "8",
+            "--seeds", "1", "--id-range-factor", "10",
         )
-        assert points[0].max_id == 80
-
-    def test_family_registry_builds_valid_graphs(self):
-        for name, factory in FAMILIES.items():
-            graph = factory(12, 0, None)
-            assert graph.is_connected(), name
+        assert code == 0
+        assert points[0]["max_id"] == 80
 
 
 class TestExports:
-    @pytest.fixture(scope="class")
-    def points(self):
-        return run_sweep(["Randomized-MST"], ["ring"], [8], [0, 1])
-
-    def test_csv_shape(self, points):
-        lines = to_csv(points).strip().splitlines()
-        assert lines[0] == ",".join(COLUMNS)
-        assert len(lines) == len(points) + 1
-        assert all(len(line.split(",")) == len(COLUMNS) for line in lines)
-
-    def test_markdown_shape(self, points):
-        lines = to_markdown(points).strip().splitlines()
-        assert lines[0].startswith("| algorithm |")
-        assert len(lines) == len(points) + 2
-
-    def test_fit_requires_two_sizes(self, points):
-        assert fit_sweep(points) == {}  # single size: nothing to fit
-
-    def test_fit_produces_constants(self):
-        points = run_sweep(["Randomized-MST"], ["ring"], [8, 32], [0])
-        fits = fit_sweep(points)
-        assert "Randomized-MST/ring" in fits
-        assert fits["Randomized-MST/ring"].constant > 0
-
-
-class TestSweepCLI:
-    def test_stdout_csv(self, capsys):
-        code = cli_main(
-            [
-                "sweep",
-                "--algorithms",
-                "Randomized-MST",
-                "--families",
-                "ring",
-                "--sizes",
-                "8",
-                "16",
-                "--seeds",
-                "1",
-            ]
+    def test_records_carry_the_sweep_columns(self, tmp_path, capsys):
+        code, points = batch(
+            tmp_path, capsys, "--families", "ring", "--sizes", "8",
+            "--seeds", "2",
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert out.startswith("algorithm,family")
-        assert "# Randomized-MST/ring" in out
+        for point in points:
+            assert set(SWEEP_COLUMNS) <= set(point)
 
-    def test_file_output(self, tmp_path, capsys):
-        target = tmp_path / "sweep.csv"
-        code = cli_main(
-            [
-                "sweep",
-                "--families",
-                "path",
-                "--sizes",
-                "8",
-                "--seeds",
-                "1",
-                "--output",
-                str(target),
-            ]
+    def test_fit_produces_constants(self, tmp_path, capsys):
+        code, points = batch(
+            tmp_path, capsys, "--families", "ring", "--sizes", "8", "32",
+            "--seeds", "1",
         )
         assert code == 0
-        assert target.read_text().startswith("algorithm,family")
+        fit = fit_records(points, model="log", resamples=10)
+        assert fit.constant > 0
+        assert [point.n for point in fit.points] == [8, 32]
+

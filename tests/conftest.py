@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import tomllib
+from pathlib import Path
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -69,3 +72,29 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip_slow)
+
+
+@pytest.fixture(scope="session")
+def shrunk_campaign():
+    """Factory: a committed campaign spec's payload on smaller grids.
+
+    ``shrink(name, sizes, seeds, **overrides)`` loads
+    ``examples/campaigns/<name>.toml`` and gives every grid the sizes,
+    seeds, and overrides (a ``None`` override deletes the key), so tests
+    exercise the committed fits and checks at test-suite cost.
+    """
+    campaigns = Path(__file__).resolve().parent.parent / "examples" / "campaigns"
+
+    def shrink(name, sizes, seeds, **overrides):
+        with open(campaigns / f"{name}.toml", "rb") as handle:
+            payload = tomllib.load(handle)
+        for section in payload["grids"]:
+            section.update(sizes=list(sizes), seeds=seeds)
+            for key, value in overrides.items():
+                if value is None:
+                    section.pop(key, None)
+                else:
+                    section[key] = value
+        return payload
+
+    return shrink

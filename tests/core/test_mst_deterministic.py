@@ -85,6 +85,19 @@ class TestComplexity:
         # at most 5 coloring stages regardless of N).
         assert large.metrics.max_awake <= small.metrics.max_awake * 2
 
+    def test_rounds_per_id_flat_across_id_ranges(self):
+        """Ring n=16 at N = n, 4n, 16n: awake within 2x, RT/N within 3x."""
+        awakes, per_id = [], []
+        for factor in (1, 4, 16):
+            graph = ring_graph(
+                16, seed=7, id_range=None if factor == 1 else factor * 16
+            )
+            result = run_deterministic_mst(graph, verify=True)
+            awakes.append(result.metrics.max_awake)
+            per_id.append(result.metrics.rounds / graph.max_id)
+        assert max(awakes) <= 2 * min(awakes)
+        assert max(per_id) <= 3 * min(per_id)
+
     def test_rounds_within_phase_budget(self):
         from repro.core.schedule import block_span
 

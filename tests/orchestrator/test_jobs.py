@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.orchestrator import (
+    GRAPH_FAMILIES,
     JobSpec,
     canonical_json,
     execute_job,
@@ -85,6 +86,12 @@ class TestExpandGrid:
         grid_b = expand_grid(["randomized"], ["ring"], [8], [1])
         assert grid_key(grid_a) != grid_key(grid_b)
         assert grid_key(grid_a) == grid_key(expand_grid(["randomized"], ["ring"], [8], [0]))
+
+
+    def test_every_family_builds_a_connected_graph(self):
+        for name, factory in GRAPH_FAMILIES.items():
+            graph = factory(12, 0, None)
+            assert graph.is_connected(), name
 
 
 class TestExecuteJob:

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+from repro.analysis import MODELS
+from repro.campaigns import CampaignSpec
 from repro.core import MSTRunResult, RunResult
 from repro.invariants import (
     MONITOR_NAMES,
@@ -71,9 +75,22 @@ class TestRegistry:
             MIS_BUNDLE.resolve_algorithm("deterministic")
 
     def test_bundle_normalizers_separate(self):
-        # log2 n vs log2 log2 n at n=65536: 16 vs 4.
-        assert MST_BUNDLE.awake_normalizer(65536) == pytest.approx(16.0)
-        assert MIS_BUNDLE.awake_normalizer(65536) == pytest.approx(4.0)
+        # Each problem's awake curve is fitted against its own bound in
+        # the problems campaign: log2 n vs log2 log2 n, 16 vs 4 at 65536.
+        spec = CampaignSpec.load(
+            Path(__file__).resolve().parents[2] / "examples" / "campaigns"
+            / "problems.toml"
+        )
+        models = {
+            grid.payload.get("problem", "mst"): fit.model
+            for grid in spec.grids for fit in spec.fits
+            if fit.grid == grid.name
+        }
+        assert models == {"mst": "log", "mis": "loglog"}
+        assert MST_BUNDLE.awake_bound == "O(log n)"
+        assert MIS_BUNDLE.awake_bound == "O(log log n)"
+        assert MODELS["log"](65536) == pytest.approx(16.0)
+        assert MODELS["loglog"](65536) == pytest.approx(4.0)
 
 
 class TestRunResultSurface:
